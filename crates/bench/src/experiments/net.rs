@@ -2,8 +2,8 @@
 //!
 //! Pre-perturbs one round's worth of reports (10⁶ at paper scale, the
 //! same report set as `BENCH_throughput.json`), then drives it over a
-//! real TCP loopback: `NetClient` → frames → `NetServer` → tenant
-//! dispatcher → `IngestService`. Sweeping the client count splits the
+//! real TCP loopback: `NetClient` → frames → `NetServer` connection
+//! thread → `IngestService`. Sweeping the client count splits the
 //! identical report set across that many concurrent connections, each
 //! bound to its own tenant, so the sweep exposes the frontend's
 //! concurrency behavior — while every closed round is still asserted
@@ -134,8 +134,6 @@ pub struct OverloadCell {
     pub shed_rate: u64,
     /// Submits shed by the in-flight quota.
     pub shed_inflight: u64,
-    /// Submits shed because the dispatcher queue was full.
-    pub shed_queue: u64,
     /// Flooding client's total retries.
     pub client_retries: u64,
     /// Flooding client's retries caused by typed `Overloaded`.
@@ -266,15 +264,14 @@ impl ChaosReport {
         let o = &self.overload;
         format!(
             "-- chaos: {} reports/cell through FlakyTransport, all cells bit-identical --\n{}\n\
-             -- overload: admitted {} / shed {} (rate {}, inflight {}, queue {}); \
+             -- overload: admitted {} / shed {} (rate {}, inflight {}); \
              flood retried {} ({} overloaded, mean backoff {:.1} ms); co-tenant ok: {} --",
             self.reports_per_cell,
             table.render(),
             o.admitted,
-            o.shed_rate + o.shed_inflight + o.shed_queue,
+            o.shed_rate + o.shed_inflight,
             o.shed_rate,
             o.shed_inflight,
-            o.shed_queue,
             o.client_retries,
             o.client_overloaded,
             o.mean_backoff_ms,
@@ -643,7 +640,6 @@ pub fn run_chaos(scale: RunScale) -> ChaosReport {
             admitted: snap.admitted,
             shed_rate: snap.shed_rate,
             shed_inflight: snap.shed_inflight,
-            shed_queue: snap.shed_queue,
             client_retries: flood_stats.retries,
             client_overloaded: flood_stats.overloaded,
             mean_backoff_ms: flood_stats.mean_backoff_ms(),

@@ -1,22 +1,21 @@
 //! Per-tenant admission control: auth, token-bucket rate limits, and
 //! in-flight quotas.
 //!
-//! One [`Admission`] guards one tenant. The connection reader consults
-//! it *before* a `SubmitBatch` enters the tenant's dispatcher queue:
+//! One [`Admission`] guards one tenant. A connection consults it
+//! *before* it runs a `SubmitBatch` against the tenant's service:
 //!
 //! * the **token bucket** bounds the sustained report rate (a batch of
 //!   *n* responses spends *n* tokens, refilled at the configured rate);
 //! * the **in-flight quota** bounds how many submit frames may be
-//!   queued or executing at once, independent of their size;
-//! * a full **dispatcher queue** (checked by the caller via `try_send`)
-//!   is the third shedding condition.
+//!   executing at once across the tenant's connections, independent of
+//!   their size.
 //!
-//! All three shed with a typed
+//! Both shed with a typed
 //! [`WireError::Overloaded`](crate::frame::WireError::Overloaded)
-//! carrying a `retry_after_ms` hint, instead of stalling the reader
-//! thread — so a flooding client gets pushback it can act on while
-//! control frames (`Hello`/`OpenRound`/`CloseRound`) still pass through
-//! the blocking path and an open round can always close.
+//! carrying a `retry_after_ms` hint — so a flooding client gets
+//! pushback it can act on while control frames
+//! (`Hello`/`OpenRound`/`CloseRound`) are never shed and an open round
+//! can always close.
 //!
 //! Auth is a per-tenant shared secret checked at `Hello` with a
 //! constant-time comparison ([`constant_time_eq`]); failures are typed
@@ -27,9 +26,9 @@ use ldp_service::TenantLimits;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Fallback `retry_after_ms` when the deficit cannot be priced (rate
-/// limit of zero, or an in-flight/queue shed with no rate signal).
-const DEFAULT_RETRY_AFTER_MS: u64 = 25;
+/// `retry_after_ms` of an in-flight shed, which has no rate deficit to
+/// price.
+const INFLIGHT_RETRY_AFTER_MS: u64 = 25;
 
 /// `retry_after_ms` is clamped here so a zero or tiny refill rate
 /// cannot tell clients to sleep forever.
@@ -58,29 +57,25 @@ pub enum ShedReason {
     Rate,
     /// The in-flight quota was exhausted.
     Inflight,
-    /// The dispatcher queue was full.
-    Queue,
 }
 
 /// Monotonic counters of one tenant's admission decisions.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AdmissionSnapshot {
-    /// Submit frames admitted into the dispatcher queue.
+    /// Submit frames admitted to the tenant's service.
     pub admitted: u64,
     /// Submits shed because the token bucket was empty.
     pub shed_rate: u64,
     /// Submits shed because the in-flight quota was exhausted.
     pub shed_inflight: u64,
-    /// Submits shed because the dispatcher queue was full.
-    pub shed_queue: u64,
     /// `Hello` frames rejected by the shared-secret check.
     pub auth_failures: u64,
 }
 
 impl AdmissionSnapshot {
-    /// Total sheds across all three conditions.
+    /// Total sheds across both conditions.
     pub fn shed_total(&self) -> u64 {
-        self.shed_rate + self.shed_inflight + self.shed_queue
+        self.shed_rate + self.shed_inflight
     }
 }
 
@@ -91,7 +86,6 @@ struct AdmissionObs {
     admitted: Arc<Counter>,
     shed_rate: Arc<Counter>,
     shed_inflight: Arc<Counter>,
-    shed_queue: Arc<Counter>,
     auth_failures: Arc<Counter>,
     rate_wait_ms: Arc<Counter>,
     inflight: Arc<Gauge>,
@@ -108,11 +102,10 @@ impl AdmissionObs {
         AdmissionObs {
             admitted: scope.counter(
                 "ldp_admission_admitted_total",
-                "Submit frames admitted into the dispatcher queue.",
+                "Submit frames admitted to the tenant's service.",
             ),
             shed_rate: shed("rate"),
             shed_inflight: shed("inflight"),
-            shed_queue: shed("queue"),
             auth_failures: scope.counter(
                 "ldp_auth_failures_total",
                 "Hello frames rejected by the shared-secret check.",
@@ -121,10 +114,7 @@ impl AdmissionObs {
                 "ldp_admission_rate_wait_ms_total",
                 "Total retry-after milliseconds suggested to rate-limited clients.",
             ),
-            inflight: scope.gauge(
-                "ldp_inflight",
-                "Submit frames currently queued or executing.",
-            ),
+            inflight: scope.gauge("ldp_inflight", "Submit frames currently executing."),
         }
     }
 }
@@ -137,7 +127,7 @@ struct Bucket {
 }
 
 /// One tenant's admission state. Shared (via `Arc`) between every
-/// connection bound to the tenant and its dispatcher.
+/// connection bound to the tenant.
 #[derive(Debug)]
 pub struct Admission {
     limits: TenantLimits,
@@ -189,14 +179,10 @@ impl Admission {
 
     /// Try to admit a submit of `reports` responses.
     ///
-    /// On success the returned [`InflightGuard`] holds one in-flight
-    /// slot until dropped (after the dispatcher replies). On refusal
-    /// the caller sheds with the returned reason and backoff hint.
-    ///
-    /// Admission alone does not count the frame as admitted — the
-    /// caller still has to win the non-blocking enqueue, and reports
-    /// success with [`note_admitted`](Self::note_admitted), so the
-    /// admitted counter stays monotonic (a Prometheus requirement).
+    /// On success the submit counts as admitted and the returned
+    /// [`InflightGuard`] holds one in-flight slot until dropped (after
+    /// the service call returns). On refusal the caller sheds with the
+    /// returned reason and backoff hint.
     pub fn admit(
         self: &Arc<Self>,
         reports: usize,
@@ -210,7 +196,7 @@ impl Admission {
                 self.obs.shed_inflight.inc();
                 return Err((
                     ShedReason::Inflight,
-                    Duration::from_millis(DEFAULT_RETRY_AFTER_MS),
+                    Duration::from_millis(INFLIGHT_RETRY_AFTER_MS),
                 ));
             }
         }
@@ -220,21 +206,10 @@ impl Admission {
             self.obs.rate_wait_ms.add(wait.as_millis() as u64);
             return Err((ShedReason::Rate, wait));
         }
+        self.obs.admitted.inc();
         Ok(InflightGuard {
             admission: Arc::clone(self),
         })
-    }
-
-    /// Record that an admitted submit made it into the dispatcher
-    /// queue (the counterpart of [`note_queue_shed`](Self::note_queue_shed)).
-    pub fn note_admitted(&self) {
-        self.obs.admitted.inc();
-    }
-
-    /// Record a queue-full shed decided by the caller (the guard from
-    /// [`admit`](Self::admit) must be dropped by then).
-    pub fn note_queue_shed(&self) {
-        self.obs.shed_queue.inc();
     }
 
     /// Spend `reports` tokens, or return how long until they refill.
@@ -262,7 +237,7 @@ impl Admission {
         Some(Duration::from_millis(wait_ms.clamp(1, MAX_RETRY_AFTER_MS)))
     }
 
-    /// Current in-flight submit count (queued + executing).
+    /// Current in-flight (executing) submit count.
     pub fn inflight(&self) -> usize {
         self.obs.inflight.get().max(0) as usize
     }
@@ -274,15 +249,13 @@ impl Admission {
             admitted: self.obs.admitted.get(),
             shed_rate: self.obs.shed_rate.get(),
             shed_inflight: self.obs.shed_inflight.get(),
-            shed_queue: self.obs.shed_queue.get(),
             auth_failures: self.obs.auth_failures.get(),
         }
     }
 }
 
-/// Holds one in-flight submit slot; dropping it (after the dispatcher
-/// replied, or when the work is shed before enqueueing) releases the
-/// slot.
+/// Holds one in-flight submit slot; dropping it (after the service
+/// call returns) releases the slot.
 #[derive(Debug)]
 pub struct InflightGuard {
     admission: Arc<Admission>,
@@ -319,7 +292,6 @@ mod tests {
         assert!(adm.check_auth(Some("anything")));
         for _ in 0..1000 {
             let guard = adm.admit(10_000).expect("open limits never shed");
-            adm.note_admitted();
             drop(guard);
         }
         assert_eq!(adm.snapshot().shed_total(), 0);
@@ -349,9 +321,7 @@ mod tests {
             ..TenantLimits::open()
         });
         adm.admit(60).expect("within burst");
-        adm.note_admitted();
         adm.admit(40).expect("exactly exhausts burst");
-        adm.note_admitted();
         let (reason, wait) = adm.admit(1).expect_err("bucket is empty");
         assert_eq!(reason, ShedReason::Rate);
         assert!(wait >= Duration::from_millis(1));
@@ -391,19 +361,5 @@ mod tests {
         let _g3 = adm.admit(1).expect("slot released");
         drop(g2);
         assert_eq!(adm.snapshot().shed_inflight, 1);
-    }
-
-    #[test]
-    fn queue_shed_never_counts_as_admitted() {
-        // The admitted counter only moves on note_admitted() — i.e.
-        // after the enqueue wins — so a queue-full shed leaves it
-        // untouched and both series stay monotonic.
-        let adm = admission(TenantLimits::open());
-        let guard = adm.admit(5).unwrap();
-        drop(guard);
-        adm.note_queue_shed();
-        let snap = adm.snapshot();
-        assert_eq!(snap.admitted, 0);
-        assert_eq!(snap.shed_queue, 1);
     }
 }

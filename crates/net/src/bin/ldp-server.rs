@@ -17,7 +17,7 @@
 //! a shared secret at `Hello`; `--rate` bounds the sustained report rate
 //! with a token bucket (submits past it are shed with typed `Overloaded`
 //! frames carrying a `retry_after_ms` hint); `--max-inflight` caps
-//! queued-or-executing submit frames. Tenants without flags are open.
+//! concurrently executing submit frames. Tenants without flags are open.
 //!
 //! `--metrics-addr` additionally binds a plaintext TCP endpoint serving
 //! the whole registry (every tenant's service metrics plus the wire

@@ -1,97 +1,74 @@
-//! One accepted connection: reader loop + writer thread.
+//! One accepted connection, served by one thread.
 //!
-//! The reader drains the socket into a [`FrameBuffer`], resolves the
+//! The thread drains the socket into a [`FrameBuffer`], resolves the
 //! connection's tenant at `Hello` (checking the tenant's shared secret
-//! in constant time), and forwards every decoded request into the
-//! tenant's bounded dispatcher queue. A separate writer thread owns the
-//! outbound half of the socket and serializes reply frames from a
-//! bounded channel, so slow clients stall only their own replies.
+//! in constant time), runs every decoded request against the tenant's
+//! service inline, and writes its reply before taking the next request.
+//! Replies are therefore FIFO per connection, and a busy connection
+//! stops reading, so TCP flow control pushes back on its client. A
+//! client that stops reading stalls only its own thread: every
+//! connection calls the thread-safe service directly.
 //!
 //! **Graceful degradation ordering.** `SubmitBatch` — the bulk of the
 //! traffic and the only frame a flood is made of — passes the tenant's
-//! [`Admission`](crate::admission::Admission) gate and a *non-blocking*
-//! `try_send` into the dispatcher queue; any refusal sheds the frame
-//! with a typed [`WireError::Overloaded`] instead of stalling this
-//! reader. Control frames (`Hello`/`OpenRound`/`CloseRound`) keep the
-//! blocking send, so even a tenant under sustained overload can always
-//! bind, resume, and close its open round.
+//! [`Admission`](crate::admission::Admission) gate first, and a refusal
+//! sheds the frame with a typed [`WireError::Overloaded`]. Control
+//! frames (`Hello`/`OpenRound`/`CloseRound`) are never shed, so even a
+//! tenant under sustained overload can always bind, resume, and close
+//! its open round.
 //!
 //! Reads poll with a short timeout instead of blocking indefinitely:
 //! each wakeup checks the server's stop flag (graceful shutdown) and an
 //! idle deadline (dead peers are reaped after
-//! [`ServerConfig::read_timeout`](crate::server::ServerConfig)).
+//! [`ServerConfig::read_timeout`](crate::server::ServerConfig)). Writes
+//! time out after the same `read_timeout`, so a peer that accepts no
+//! bytes is reaped like an idle one and shutdown always returns.
 
 use crate::codec::{encode_frame, FrameBuffer};
 use crate::error::FrameError;
 use crate::frame::{AckBody, Frame, WireError, STATS_VERSION, WIRE_VERSION};
 use crate::metrics::ServerMetrics;
 use crate::server::ServerConfig;
-use crate::tenant::{TenantHandle, TenantWork, Tenants};
+use crate::tenant::{Tenant, Tenants};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, SyncSender};
-use std::sync::Arc;
 use std::time::Instant;
 
-/// Serve one accepted connection until EOF, error, idle timeout, or
-/// server shutdown.
+/// Serve one accepted connection until EOF, error, idle or write
+/// timeout, or server shutdown.
 pub(crate) fn serve(
     stream: TcpStream,
-    tenants: Arc<Tenants>,
+    tenants: &Tenants,
     config: ServerConfig,
-    stop: Arc<AtomicBool>,
-    metrics: ServerMetrics,
+    stop: &AtomicBool,
+    metrics: &ServerMetrics,
 ) {
-    if stream.set_read_timeout(Some(config.poll_interval)).is_err() {
+    if stream.set_read_timeout(Some(config.poll_interval)).is_err()
+        || stream.set_write_timeout(Some(config.read_timeout)).is_err()
+    {
         return;
     }
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
     metrics.connections().inc();
-    // Bounded reply lane: the dispatcher blocks here if this client
-    // stops reading, rather than buffering its replies unboundedly.
-    let (reply_tx, reply_rx) = sync_channel::<Frame>(config.queue_depth);
-    let writer = {
-        let metrics = metrics.clone();
-        std::thread::Builder::new()
-            .name("conn-writer".into())
-            .spawn(move || {
-                let mut write_half = write_half;
-                while let Ok(frame) = reply_rx.recv() {
-                    metrics.record_out(&frame);
-                    if write_half.write_all(&encode_frame(&frame)).is_err() {
-                        break;
-                    }
-                }
-                let _ = write_half.flush();
-            })
-            .expect("spawn connection writer")
-    };
-
-    read_loop(stream, &tenants, &config, &stop, &reply_tx, &metrics);
+    serve_loop(stream, tenants, &config, stop, metrics);
     metrics.connections().dec();
-
-    // Dropping our reply sender lets the writer drain queued replies
-    // (including any dispatcher replies still in flight via its own
-    // clone) and exit.
-    drop(reply_tx);
-    let _ = writer.join();
 }
 
-fn read_loop(
+fn serve_loop(
     mut stream: TcpStream,
     tenants: &Tenants,
     config: &ServerConfig,
     stop: &AtomicBool,
-    reply_tx: &SyncSender<Frame>,
     metrics: &ServerMetrics,
 ) {
     let mut fb = FrameBuffer::new();
-    let mut tenant: Option<TenantHandle> = None;
+    let mut tenant: Option<&Tenant> = None;
     let mut buf = [0u8; 16 * 1024];
     let mut last_activity = Instant::now();
+    let send = |stream: &mut TcpStream, reply: Frame| {
+        metrics.record_out(&reply);
+        stream.write_all(&encode_frame(&reply)).is_ok()
+    };
     loop {
         if stop.load(Ordering::Relaxed) {
             return;
@@ -120,40 +97,29 @@ fn read_loop(
                 Err(e) => {
                     // The stream is unsynchronized after a framing
                     // defect: report it, then drop the connection.
-                    let _ = reply_tx.send(framing_reply(e));
+                    send(&mut stream, framing_reply(e));
                     return;
                 }
             };
             metrics.record_in(&frame);
-            match route(frame, tenants, &mut tenant, reply_tx, config, metrics) {
-                Routed::Ok => {}
-                Routed::Closed => return,
+            let reply = respond(frame, tenants, &mut tenant, metrics);
+            if !send(&mut stream, reply) {
+                return;
             }
         }
     }
 }
 
-enum Routed {
-    Ok,
-    Closed,
-}
-
-fn route(
+/// Answer one request: stats from the shared registry, everything else
+/// from the connection's tenant.
+fn respond<'t>(
     frame: Frame,
-    tenants: &Tenants,
-    tenant: &mut Option<TenantHandle>,
-    reply_tx: &SyncSender<Frame>,
-    config: &ServerConfig,
+    tenants: &'t Tenants,
+    tenant: &mut Option<&'t Tenant>,
     metrics: &ServerMetrics,
-) -> Routed {
+) -> Frame {
     let corr = frame.corr();
-    let reject = |error: WireError| {
-        if reply_tx.send(Frame::Err { corr, error }).is_ok() {
-            Routed::Ok
-        } else {
-            Routed::Closed
-        }
-    };
+    let reject = |error: WireError| Frame::Err { corr, error };
     // Stats requests are answered from the shared registry right here —
     // before the Hello check, so operators scrape without binding (or
     // even having) a tenant.
@@ -162,17 +128,12 @@ fn route(
         if let Some(scope) = scope {
             samples.retain(|s| s.label("tenant") == Some(scope));
         }
-        let reply = Frame::Ack {
+        return Frame::Ack {
             corr,
             body: AckBody::Stats {
                 version: STATS_VERSION,
                 samples,
             },
-        };
-        return if reply_tx.send(reply).is_ok() {
-            Routed::Ok
-        } else {
-            Routed::Closed
         };
     }
     // Hello (re)binds the connection's tenant; everything else requires
@@ -181,68 +142,34 @@ fn route(
         tenant: id, token, ..
     } = &frame
     {
-        let Some(handle) = tenants.handle(id) else {
+        let Some(found) = tenants.get(id) else {
             return reject(WireError::UnknownTenant { tenant: id.clone() });
         };
-        if !handle.admission.check_auth(token.as_deref()) {
+        if !found.admission.check_auth(token.as_deref()) {
             return reject(WireError::AuthFailed { tenant: id.clone() });
         }
-        *tenant = Some(handle);
+        *tenant = Some(found);
     }
-    let Some(handle) = tenant.as_ref() else {
+    let Some(tenant) = *tenant else {
         return reject(WireError::Protocol {
             detail: "Hello must precede other frames".into(),
         });
     };
-    if let Frame::SubmitBatch { responses, .. } = &frame {
-        // The shedding path: admission gate + non-blocking enqueue.
-        // Refusals reply Overloaded from this reader thread — the
-        // request never reached the service, so it is safe to retry.
-        let guard = match handle.admission.admit(responses.len()) {
-            Ok(guard) => guard,
+    // The shedding path, for submits only. A refusal never reached the
+    // service, so it is safe to retry; an admitted submit holds its
+    // in-flight slot until the service call returns.
+    let _inflight = match &frame {
+        Frame::SubmitBatch { responses, .. } => match tenant.admission.admit(responses.len()) {
+            Ok(guard) => Some(guard),
             Err((_reason, wait)) => {
                 return reject(WireError::Overloaded {
                     retry_after_ms: wait.as_millis() as u64,
                 });
             }
-        };
-        let work = TenantWork {
-            frame,
-            reply: reply_tx.clone(),
-            inflight: Some(guard),
-        };
-        return match handle.queue.try_send(work) {
-            Ok(()) => {
-                // Counted only after the enqueue wins, so the admitted
-                // series is monotonic (a queue-full refusal below never
-                // has to take the count back).
-                handle.admission.note_admitted();
-                Routed::Ok
-            }
-            Err(std::sync::mpsc::TrySendError::Full(work)) => {
-                drop(work); // releases the in-flight slot
-                handle.admission.note_queue_shed();
-                reject(WireError::Overloaded {
-                    retry_after_ms: config.shed_retry.as_millis() as u64,
-                })
-            }
-            // Dispatcher gone: the server is shutting down.
-            Err(std::sync::mpsc::TrySendError::Disconnected(_)) => Routed::Closed,
-        };
-    }
-    // Control frames keep the blocking send: a saturated tenant stalls
-    // this reader, the socket stops draining, TCP pushes back — but the
-    // frame is never shed, so open rounds can always close.
-    let work = TenantWork {
-        frame,
-        reply: reply_tx.clone(),
-        inflight: None,
+        },
+        _ => None,
     };
-    if handle.queue.send(work).is_err() {
-        // Dispatcher gone: the server is shutting down.
-        return Routed::Closed;
-    }
-    Routed::Ok
+    tenant.serve(frame)
 }
 
 /// The reply sent for an undecodable stream (no request to attribute it

@@ -223,8 +223,8 @@ pub enum WireError {
         /// What went out of step.
         detail: String,
     },
-    /// The tenant shed this request under load (full dispatcher queue,
-    /// exhausted rate budget, or in-flight quota). The request was
+    /// The tenant shed this request under load (exhausted rate budget
+    /// or in-flight quota). The request was
     /// **not** applied; retry it after backing off.
     Overloaded {
         /// Suggested minimum backoff before retrying, in milliseconds.

@@ -13,11 +13,12 @@
 //!   floats travel as IEEE-754 bit patterns and a network round's
 //!   estimate is **bit-identical** to an in-process one. Decoding is
 //!   panic-free on arbitrary input (typed [`FrameError`]s).
-//! * [`server`] + [`conn`] + [`tenant`] — the threaded frontend:
-//!   accept loop, per-connection reader/writer pairs with idle
-//!   timeouts, and per-tenant dispatcher threads behind bounded
-//!   channels, so backpressure composes from a tenant's worker pool all
-//!   the way to the client's TCP socket. Dispatches into the
+//! * [`server`] + [`conn`] + [`tenant`] — the threaded frontend: an
+//!   accept loop and one thread per connection, which runs each request
+//!   against its tenant's service inline and writes the reply before
+//!   reading on, with idle and write timeouts. Backpressure composes
+//!   from a tenant's worker pool all the way to the client's TCP
+//!   socket. Tenants come from the
 //!   [`TenantRegistry`](ldp_service::TenantRegistry) — each tenant owns
 //!   its service, config, budget bookkeeping, and WAL directory.
 //! * [`client`] — [`NetClient`]: typed calls, pipelined submits, and
@@ -28,7 +29,7 @@
 //!
 //! * [`admission`] — per-tenant admission control (shared-secret auth
 //!   with constant-time compare, token-bucket rate limits, in-flight
-//!   quotas) enforced in the connection reader, shedding `SubmitBatch`
+//!   quotas) enforced by the connection thread, shedding `SubmitBatch`
 //!   with typed [`WireError::Overloaded`] frames while control frames
 //!   always pass — an open round can always close;
 //! * [`backoff`] — [`RetryPolicy`]: per-RPC deadlines plus capped
@@ -92,4 +93,4 @@ pub use error::{FrameError, NetError};
 pub use frame::{AckBody, Frame, WireError, STATS_VERSION, WIRE_VERSION};
 pub use metrics::{ClientMetrics, ServerMetrics};
 pub use server::{NetServer, ServerConfig};
-pub use tenant::{TenantHandle, TenantWork, Tenants};
+pub use tenant::Tenants;

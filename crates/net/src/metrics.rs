@@ -19,8 +19,8 @@ use ldp_obs::{Counter, Gauge, Histogram, MetricsRegistry, Scope};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// The network frontend's metric handles, shared by the accept loop,
-/// every connection, and every tenant dispatcher.
+/// The network frontend's metric handles, shared by the accept loop
+/// and every connection.
 #[derive(Debug, Clone)]
 pub struct ServerMetrics {
     registry: Arc<MetricsRegistry>,

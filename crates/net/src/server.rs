@@ -1,18 +1,16 @@
 //! The TCP frontend: accept loop + connection lifecycle.
 //!
 //! [`NetServer::start`] binds a listener, snapshots the tenant registry
-//! into per-tenant dispatchers (see [`tenant`](crate::tenant)), and
-//! accepts connections until [`shutdown`](NetServer::shutdown). Each
-//! connection runs the reader/writer pair in [`conn`](crate::conn).
+//! into an immutable tenant map (see [`tenant`](crate::tenant)), and
+//! accepts connections until [`shutdown`](NetServer::shutdown).
 //!
-//! There is no async runtime in this workspace, so "async" here is the
-//! classic pipelined-threads shape: the accept loop, each connection's
-//! reader and writer, and each tenant's dispatcher are all independent
-//! threads joined by bounded channels. Backpressure composes end to
-//! end — tenant queue → connection reader → kernel socket buffer → TCP
-//! flow control → client — and shutdown drains in dependency order
-//! (stop accepting → connections exit → dispatcher queues close →
-//! dispatchers drain and exit).
+//! There is no async runtime in this workspace: the accept loop is one
+//! thread, and each connection is one more thread that reads a request,
+//! runs it against its tenant's service, and writes the reply (see
+//! [`conn`](crate::conn)). Backpressure composes end to end — worker
+//! pool → connection thread → kernel socket buffer → TCP flow control →
+//! client — and shutdown is: stop accepting, then join every connection
+//! once it finishes the requests it has already read.
 
 use crate::conn;
 use crate::metrics::ServerMetrics;
@@ -27,27 +25,19 @@ use std::time::Duration;
 /// Tunables of the network frontend.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
-    /// Capacity of each tenant dispatcher queue and each connection's
-    /// reply queue. Small keeps backpressure tight.
-    pub queue_depth: usize,
-    /// Idle connections are closed after this long without a byte.
+    /// Connections are closed after this long without a byte received,
+    /// or with a reply write that makes no progress.
     pub read_timeout: Duration,
     /// How often blocked reads wake to check the stop flag and idle
     /// deadline.
     pub poll_interval: Duration,
-    /// The `retry_after_ms` hint sent when a submit is shed because the
-    /// tenant's dispatcher queue is full (rate-limit sheds price their
-    /// hint from the bucket's refill deficit instead).
-    pub shed_retry: Duration,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            queue_depth: 8,
             read_timeout: Duration::from_secs(30),
             poll_interval: Duration::from_millis(25),
-            shed_retry: Duration::from_millis(25),
         }
     }
 }
@@ -58,7 +48,7 @@ pub struct NetServer {
     stop: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
     conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    tenants: Option<Arc<Tenants>>,
+    tenants: Arc<Tenants>,
     metrics: ServerMetrics,
 }
 
@@ -75,7 +65,7 @@ impl NetServer {
         // Non-blocking accept + short sleep: the loop notices the stop
         // flag promptly without a self-connect wake hack.
         listener.set_nonblocking(true)?;
-        let tenants = Arc::new(Tenants::start(registry, config.queue_depth));
+        let tenants = Arc::new(Tenants::new(registry));
         // The wire layer records into the same registry the tenant
         // services do, so one scrape covers both.
         let metrics = ServerMetrics::new(registry.metrics());
@@ -100,7 +90,9 @@ impl NetServer {
                             let metrics = metrics.clone();
                             let handle = std::thread::Builder::new()
                                 .name("ldp-conn".into())
-                                .spawn(move || conn::serve(stream, tenants, config, stop, metrics))
+                                .spawn(move || {
+                                    conn::serve(stream, &tenants, config, &stop, &metrics)
+                                })
                                 .expect("spawn connection thread");
                             conns.lock().unwrap().push(handle);
                         }
@@ -118,7 +110,7 @@ impl NetServer {
             stop,
             accept: Some(accept),
             conns,
-            tenants: Some(tenants),
+            tenants,
             metrics,
         })
     }
@@ -137,15 +129,14 @@ impl NetServer {
     /// Admission counters (admits, sheds by cause, auth failures) of
     /// `tenant`, or `None` if it is not hosted.
     pub fn admission_snapshot(&self, tenant: &str) -> Option<crate::admission::AdmissionSnapshot> {
-        self.tenants
-            .as_ref()
-            .and_then(|tenants| tenants.admission_snapshot(tenant))
+        self.tenants.admission_snapshot(tenant)
     }
 
-    /// Stop accepting, drain and join every connection and dispatcher.
+    /// Stop accepting, then join every connection.
     ///
-    /// In-flight requests already in a tenant queue are completed and
-    /// their replies flushed before the dispatchers exit.
+    /// Each connection first answers the requests it has already read;
+    /// a reply write that makes no progress gives up after
+    /// [`ServerConfig::read_timeout`], so this always returns.
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(accept) = self.accept.take() {
@@ -154,11 +145,6 @@ impl NetServer {
         let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.conns.lock().unwrap());
         for handle in handles {
             let _ = handle.join();
-        }
-        if let Some(tenants) = self.tenants.take() {
-            if let Ok(tenants) = Arc::try_unwrap(tenants) {
-                tenants.shutdown();
-            }
         }
     }
 }

@@ -1,146 +1,90 @@
-//! Per-tenant dispatchers: bounded channels between connections and
-//! each tenant's [`IngestService`].
+//! The hosted tenants: an immutable map from tenant id to its service,
+//! admission state and latency histograms.
 //!
-//! Every registered tenant gets one dispatcher thread fed by a bounded
-//! `sync_channel`. Connections decode frames and `send` them here; a
-//! full queue blocks the connection's reader, which stops draining its
-//! socket, which fills the kernel buffers, which back-pressures the
-//! client through TCP flow control — the same end-to-end backpressure
-//! discipline the worker pool applies inside the service, extended to
-//! the wire.
-//!
-//! Routing all of a tenant's service calls through one thread also
-//! keeps per-connection request/reply order trivially FIFO: replies are
-//! produced in the order the connection sent requests, so clients can
-//! pipeline without a reorder buffer.
+//! The map is built once at [`NetServer::start`](crate::NetServer) and
+//! shared by every connection thread, which runs each request against
+//! its tenant's [`IngestService`] inline — the service is already
+//! thread-safe, so there is no per-tenant thread or queue in between.
 
-use crate::admission::{Admission, AdmissionSnapshot, InflightGuard};
+use crate::admission::{Admission, AdmissionSnapshot};
 use crate::frame::{AckBody, Frame, WireError, FRAME_KIND_NAMES};
 use ldp_obs::Histogram;
 use ldp_service::registry::TenantRegistry;
 use ldp_service::{IngestService, SessionId};
 use std::collections::HashMap;
-use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// One decoded request frame plus the reply lane of the connection it
-/// arrived on.
-pub struct TenantWork {
-    /// The request frame (already validated as a client→server frame).
-    pub frame: Frame,
-    /// The connection's outbound frame queue. A send failure means the
-    /// connection is gone; the reply is then dropped.
-    pub reply: SyncSender<Frame>,
-    /// The in-flight slot an admitted `SubmitBatch` occupies; released
-    /// when the work is dropped (after its reply is sent). `None` for
-    /// control frames, which bypass admission.
-    pub inflight: Option<InflightGuard>,
-}
-
-/// One tenant's routing handle: its dispatcher queue plus the admission
-/// state connections consult before enqueueing submits.
-#[derive(Clone)]
-pub struct TenantHandle {
-    /// The tenant's bounded dispatcher queue.
-    pub queue: SyncSender<TenantWork>,
+/// One hosted tenant, as a connection sees it after `Hello`.
+pub(crate) struct Tenant {
+    service: Arc<IngestService>,
     /// The tenant's admission control (auth, rate, in-flight quota).
-    pub admission: Arc<Admission>,
+    pub(crate) admission: Arc<Admission>,
+    /// `ldp_net_rpc_ns{op}`, one histogram per request kind, resolved
+    /// once so a request records without touching the registry.
+    rpc_ns: [Arc<Histogram>; FRAME_KIND_NAMES.len()],
 }
 
-/// The running dispatcher set: tenant id → its work queue.
+impl Tenant {
+    /// Run `frame` against the tenant's service, timing it, and return
+    /// its `Ack`/`Err` reply.
+    pub(crate) fn serve(&self, frame: Frame) -> Frame {
+        let op = frame.kind_index();
+        let start = Instant::now();
+        let reply = dispatch(&self.service, frame);
+        self.rpc_ns[op].record_duration(start.elapsed());
+        reply
+    }
+}
+
+/// Every tenant the server hosts, by id.
 pub struct Tenants {
-    handles_by_id: HashMap<String, TenantHandle>,
-    handles: Vec<JoinHandle<()>>,
+    by_id: HashMap<String, Tenant>,
 }
 
 impl Tenants {
-    /// Spawn one dispatcher per tenant currently in `registry`.
+    /// Snapshot every tenant currently in `registry`.
     ///
-    /// The tenant set is snapshotted here: tenants registered after the
-    /// server starts are not served (restart the server to pick them
-    /// up).
-    pub fn start(registry: &TenantRegistry, queue_depth: usize) -> Tenants {
-        let mut handles_by_id = HashMap::new();
-        let mut handles = Vec::new();
+    /// Tenants registered after the server starts are not served
+    /// (restart the server to pick them up).
+    pub fn new(registry: &TenantRegistry) -> Tenants {
+        let mut by_id = HashMap::new();
         for id in registry.tenant_ids() {
             let service = registry.lookup(&id).expect("snapshotted id resolves");
             let limits = registry.limits(&id).expect("snapshotted id resolves");
             let scope = registry.tenant_scope(&id);
             let admission = Arc::new(Admission::with_obs(limits, &scope));
-            // One latency histogram per request kind, pre-resolved so
-            // the dispatch loop records without touching the registry.
-            let rpc_ns: [Arc<Histogram>; FRAME_KIND_NAMES.len()] = FRAME_KIND_NAMES.map(|op| {
+            let rpc_ns = FRAME_KIND_NAMES.map(|op| {
                 scope.with(&[("op", op)]).histogram(
                     "ldp_net_rpc_ns",
-                    "Dispatcher service time per request, in nanoseconds.",
+                    "Server-side service time per request, in nanoseconds.",
                 )
             });
-            let (tx, rx) = sync_channel::<TenantWork>(queue_depth);
-            let name = format!("tenant-{id}");
-            let handle = std::thread::Builder::new()
-                .name(name)
-                .spawn(move || {
-                    // Drains until every connection's sender is dropped
-                    // (server shutdown), then exits — graceful drain.
-                    while let Ok(work) = rx.recv() {
-                        let op = work.frame.kind_index();
-                        let start = Instant::now();
-                        let reply = dispatch(&service, work.frame);
-                        rpc_ns[op].record_duration(start.elapsed());
-                        let _ = work.reply.send(reply);
-                        // `work.inflight` drops here, releasing the
-                        // tenant's in-flight slot only after the reply
-                        // is on the connection's outbound lane.
-                    }
-                })
-                .expect("spawn tenant dispatcher");
-            handles_by_id.insert(
-                id,
-                TenantHandle {
-                    queue: tx,
-                    admission,
-                },
-            );
-            handles.push(handle);
+            let tenant = Tenant {
+                service,
+                admission,
+                rpc_ns,
+            };
+            by_id.insert(id, tenant);
         }
-        Tenants {
-            handles_by_id,
-            handles,
-        }
+        Tenants { by_id }
     }
 
-    /// The routing handle of `tenant`, if hosted.
-    pub fn handle(&self, tenant: &str) -> Option<TenantHandle> {
-        self.handles_by_id.get(tenant).cloned()
-    }
-
-    /// The work queue of `tenant`, if hosted.
-    pub fn sender(&self, tenant: &str) -> Option<SyncSender<TenantWork>> {
-        self.handles_by_id.get(tenant).map(|h| h.queue.clone())
+    /// The tenant `id`, if hosted.
+    pub(crate) fn get(&self, id: &str) -> Option<&Tenant> {
+        self.by_id.get(id)
     }
 
     /// The admission counters of `tenant`, if hosted.
     pub fn admission_snapshot(&self, tenant: &str) -> Option<AdmissionSnapshot> {
-        self.handles_by_id
-            .get(tenant)
-            .map(|h| h.admission.snapshot())
+        self.by_id.get(tenant).map(|t| t.admission.snapshot())
     }
 
     /// Hosted tenant ids, sorted.
     pub fn tenant_ids(&self) -> Vec<String> {
-        let mut ids: Vec<String> = self.handles_by_id.keys().cloned().collect();
+        let mut ids: Vec<String> = self.by_id.keys().cloned().collect();
         ids.sort();
         ids
-    }
-
-    /// Drop the work queues and join every dispatcher after it drains.
-    pub fn shutdown(self) {
-        drop(self.handles_by_id);
-        for handle in self.handles {
-            let _ = handle.join();
-        }
     }
 }
 
@@ -205,8 +149,8 @@ fn execute(service: &Arc<IngestService>, frame: Frame) -> Result<AckBody, WireEr
                 .map_err(|e| WireError::from(&e))?;
             Ok(AckBody::Closed { estimate })
         }
-        // Stats requests are answered by the connection reader (they
-        // need the whole-registry view, not one tenant's service).
+        // Stats requests are answered by the connection (they need the
+        // whole-registry view, not one tenant's service).
         Frame::StatsRequest { .. } => Err(WireError::Protocol {
             detail: "stats requests are served at the connection layer".into(),
         }),
@@ -322,12 +266,10 @@ mod tests {
     #[test]
     fn tenants_snapshot_serves_registered_ids_only() {
         let registry = registry();
-        let tenants = Tenants::start(&registry, 4);
-        assert!(tenants.handle("acme").is_some());
-        assert!(tenants.sender("acme").is_some());
-        assert!(tenants.handle("ghost").is_none());
+        let tenants = Tenants::new(&registry);
+        assert!(tenants.get("acme").is_some());
+        assert!(tenants.get("ghost").is_none());
         assert_eq!(tenants.tenant_ids(), vec!["acme"]);
         assert_eq!(tenants.admission_snapshot("acme"), Some(Default::default()));
-        tenants.shutdown();
     }
 }

@@ -5,21 +5,25 @@
 //! crossed the wire are **bit-identical** to the sequential in-process
 //! [`AggregationServer`] — plus the transport behaviors around it:
 //! torn-frame reassembly, typed rejection of protocol misuse, idle
-//! reaping, disconnect/resume replay, and graceful shutdown.
+//! reaping, isolation from a peer that never reads its replies,
+//! disconnect/resume replay, and graceful shutdown.
 
 use ldp_fo::{build_oracle, FoKind, OracleHandle};
 use ldp_ids::collector::RoundEstimate;
 use ldp_ids::protocol::{AggregationServer, UserResponse};
 use ldp_net::{
-    encode_frame, AckBody, Frame, FrameBuffer, NetClient, NetError, NetServer, ServerConfig,
-    WireError,
+    encode_frame, AckBody, ClientOptions, Frame, FrameBuffer, NetClient, NetError, NetServer,
+    RetryPolicy, ServerConfig, WireError,
 };
 use ldp_service::{ServiceConfig, TenantRegistry, TenantSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::time::Duration;
+use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 fn start_server(tenants: &[&str]) -> NetServer {
     let registry = TenantRegistry::new();
@@ -216,7 +220,6 @@ fn idle_connections_are_reaped() {
     let config = ServerConfig {
         read_timeout: Duration::from_millis(100),
         poll_interval: Duration::from_millis(10),
-        ..ServerConfig::default()
     };
     let server = NetServer::start("127.0.0.1:0", &registry, config).unwrap();
     let mut stream = TcpStream::connect(server.addr()).unwrap();
@@ -225,6 +228,139 @@ fn idle_connections_are_reaped() {
     stream.read_to_end(&mut rest).unwrap();
     assert!(rest.is_empty());
     server.shutdown();
+}
+
+/// A raw connection that binds a tenant, then writes `CloseRound`
+/// frames from a background thread and never reads a reply.
+struct Flood {
+    stream: TcpStream,
+    sent: Arc<AtomicU64>,
+    writer: JoinHandle<()>,
+}
+
+impl Flood {
+    fn start(addr: SocketAddr, tenant: &str) -> Flood {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .write_all(&encode_frame(&Frame::Hello {
+                corr: 1,
+                tenant: tenant.into(),
+                resume: None,
+                token: None,
+            }))
+            .unwrap();
+        let Frame::Ack {
+            body: AckBody::Session { session, .. },
+            ..
+        } = read_one_frame(&mut stream)
+        else {
+            panic!("hello was not acknowledged");
+        };
+        // Closing a round that was never opened: each frame costs the
+        // server a service call and a typed error reply.
+        let close = encode_frame(&Frame::CloseRound {
+            corr: 2,
+            session,
+            round: 0,
+        });
+        let sent = Arc::new(AtomicU64::new(0));
+        let writer = {
+            let mut stream = stream.try_clone().unwrap();
+            let sent = Arc::clone(&sent);
+            std::thread::spawn(move || {
+                while stream.write_all(&close).is_ok() {
+                    sent.fetch_add(1, Ordering::Relaxed);
+                }
+            })
+        };
+        Flood {
+            stream,
+            sent,
+            writer,
+        }
+    }
+
+    /// Block until the flood's writes stop making progress: the server
+    /// has stopped reading, so every buffer on the path is full.
+    fn wait_until_stalled(&self) {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let mut last = 0;
+        loop {
+            std::thread::sleep(Duration::from_millis(500));
+            let now = self.sent.load(Ordering::Relaxed);
+            if now > 0 && now == last {
+                return;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "flood never stalled ({now} frames)"
+            );
+            last = now;
+        }
+    }
+
+    /// Unblock and join the writer, then close the socket.
+    fn stop(self) {
+        let _ = self.stream.shutdown(Shutdown::Both);
+        let _ = self.writer.join();
+    }
+}
+
+#[test]
+fn stalled_peer_does_not_stall_its_tenant() {
+    let server = start_server(&["acme"]);
+    let flood = Flood::start(server.addr(), "acme");
+    flood.wait_until_stalled();
+
+    // A second connection to the same tenant runs a whole round while
+    // the flood's replies sit unread.
+    let retry = RetryPolicy {
+        max_retries: 0,
+        rpc_timeout: Duration::from_secs(3),
+        ..RetryPolicy::default()
+    };
+    let mut client = NetClient::connect_with(
+        server.addr().to_string(),
+        "acme",
+        ClientOptions::default().retry(retry),
+    )
+    .unwrap();
+    client.open_round_with(0, FoKind::Grr, 1.0, 2).unwrap();
+    let estimate = client.close_round().unwrap();
+    assert_eq!(estimate.reporters, 0);
+
+    flood.stop();
+    server.shutdown();
+}
+
+#[test]
+fn shutdown_returns_with_a_stalled_peer() {
+    let registry = TenantRegistry::new();
+    registry
+        .register(TenantSpec::in_memory(
+            "acme",
+            ServiceConfig::with_threads(1),
+        ))
+        .unwrap();
+    let config = ServerConfig {
+        read_timeout: Duration::from_secs(2),
+        poll_interval: Duration::from_millis(10),
+    };
+    let server = NetServer::start("127.0.0.1:0", &registry, config).unwrap();
+    let flood = Flood::start(server.addr(), "acme");
+    flood.wait_until_stalled();
+
+    // The connection is blocked writing a reply nobody reads; shutdown
+    // must still return once that write times out.
+    let (done_tx, done_rx) = mpsc::channel();
+    let shutdown = std::thread::spawn(move || {
+        server.shutdown();
+        let _ = done_tx.send(());
+    });
+    let returned = done_rx.recv_timeout(Duration::from_secs(15)).is_ok();
+    flood.stop();
+    assert!(returned, "shutdown hung on a peer that never reads");
+    shutdown.join().unwrap();
 }
 
 #[test]

@@ -186,10 +186,9 @@ fn co_tenant_round_closes_during_flood_and_flood_converges() {
         std::thread::sleep(Duration::from_millis(1));
     }
 
-    // ... then run the co-tenant's entire round mid-flood. A window
-    // below the dispatcher queue depth keeps the client from
-    // overflowing its own queue, so any shed here would be the flood's
-    // fault — and there must be none.
+    // ... then run the co-tenant's entire round mid-flood. The
+    // co-tenant has no limits of its own, so any shed here would be the
+    // flood's fault — and there must be none.
     let mut calm =
         NetClient::connect_with(addr, "calm", ClientOptions::default().window(4)).unwrap();
     calm.open_round_with(0, fo, epsilon, domain).unwrap();
@@ -278,7 +277,7 @@ fn auth_token_gates_the_session_and_survives_recovery() {
 }
 
 /// An in-flight quota sheds with `Overloaded` when too many submit
-/// frames are queued or executing at once, and the round still closes
+/// frames are executing at once, and the round still closes
 /// once the retrying client drains.
 #[test]
 fn inflight_quota_sheds_then_round_still_closes() {

@@ -1,21 +1,13 @@
 //! `ldp_obs` — dependency-light observability for the LDP-IDS repro.
 //!
-//! The crate has two halves:
-//!
-//! * **Metrics** ([`metrics`], [`registry`], [`expose`]): lock-free
-//!   atomic [`Counter`]s and [`Gauge`]s plus log2-bucketed
-//!   [`Histogram`]s with p50/p95/p99/max readout, registered under
-//!   static label sets in a [`MetricsRegistry`]. Recording never takes
-//!   a lock — the registry mutex guards only metric *creation*; handles
-//!   are `Arc`s over plain atomics. A registry snapshots to typed
-//!   [`MetricSample`]s (for wire scraping) or renders Prometheus-style
-//!   text exposition, optionally served over TCP by a
-//!   [`MetricsExporter`].
-//!
-//! * **Tracing** ([`trace`]): a ring-buffered structured event log with
-//!   monotonic timestamps, behind the `trace` cargo feature. With the
-//!   feature off every call is an inlined no-op and detail closures are
-//!   never run, so instrumented hot paths cost nothing.
+//! Metrics ([`metrics`], [`registry`], [`expose`]): lock-free atomic
+//! [`Counter`]s and [`Gauge`]s plus log2-bucketed [`Histogram`]s with
+//! p50/p95/p99/max readout, registered under static label sets in a
+//! [`MetricsRegistry`]. Recording never takes a lock — the registry
+//! mutex guards only metric *creation*; handles are `Arc`s over plain
+//! atomics. A registry snapshots to typed [`MetricSample`]s (for wire
+//! scraping) or renders Prometheus-style text exposition, optionally
+//! served over TCP by a [`MetricsExporter`].
 //!
 //! The crate is deliberately free of dependencies so every layer of the
 //! workspace (service, net, bench, bins) can link it without weight.
@@ -38,7 +30,6 @@
 pub mod expose;
 pub mod metrics;
 pub mod registry;
-pub mod trace;
 
 pub use expose::MetricsExporter;
 pub use metrics::{bucket_index, bucket_upper, Counter, Gauge, Histogram, HistogramSnapshot};

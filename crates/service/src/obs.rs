@@ -27,8 +27,8 @@ pub struct WalObs {
 }
 
 impl WalObs {
-    /// Handles on a private, unregistered series (used by
-    /// [`Wal::create`](crate::wal::Wal::create) when no scope is given).
+    /// Handles on a private, unregistered series (for a
+    /// [`Wal`](crate::wal::Wal) nobody scrapes).
     pub fn unregistered() -> WalObs {
         WalObs {
             append_ns: Histogram::arc(),

@@ -62,16 +62,10 @@ pub struct WorkerPool {
 
 impl WorkerPool {
     /// Spawn `threads` workers with inboxes bounded at `queue_depth`
-    /// batches each. Queue depths go to private, unregistered gauges;
-    /// see [`WorkerPool::new_observed`].
-    pub fn new(threads: usize, queue_depth: usize) -> Self {
-        WorkerPool::new_observed(threads, queue_depth, Vec::new())
-    }
-
-    /// [`WorkerPool::new`] publishing per-shard queue depth into
-    /// `depth` (one gauge per worker; missing entries get private
-    /// gauges, extras are ignored).
-    pub fn new_observed(threads: usize, queue_depth: usize, depth: Vec<Arc<Gauge>>) -> Self {
+    /// batches each, publishing per-shard queue depth into `depth` (one
+    /// gauge per worker; missing entries get private gauges, extras are
+    /// ignored).
+    pub fn new(threads: usize, queue_depth: usize, depth: Vec<Arc<Gauge>>) -> Self {
         let threads = threads.max(1);
         let mut depth = depth;
         depth.truncate(threads);
@@ -241,7 +235,7 @@ mod tests {
 
     #[test]
     fn tallies_across_workers_merge() {
-        let pool = WorkerPool::new(4, 2);
+        let pool = WorkerPool::new(4, 2, Vec::new());
         let oracle = build_oracle(FoKind::Grr, 8.0, 3).unwrap();
         for _ in 0..10 {
             pool.dispatch(Batch::encode(key(0), &oracle, reports(0, 1, 100)));
@@ -256,7 +250,7 @@ mod tests {
 
     #[test]
     fn concurrent_rounds_stay_separate() {
-        let pool = WorkerPool::new(2, 4);
+        let pool = WorkerPool::new(2, 4, Vec::new());
         let oracle = build_oracle(FoKind::Grr, 8.0, 2).unwrap();
         pool.dispatch(Batch::encode(key(0), &oracle, reports(0, 0, 7)));
         pool.dispatch(Batch::encode(key(1), &oracle, reports(1, 1, 5)));
@@ -268,7 +262,7 @@ mod tests {
 
     #[test]
     fn single_worker_pool_works() {
-        let pool = WorkerPool::new(1, 1);
+        let pool = WorkerPool::new(1, 1, Vec::new());
         let oracle = build_oracle(FoKind::Grr, 8.0, 2).unwrap();
         pool.dispatch(Batch::encode(key(0), &oracle, reports(0, 0, 3)));
         assert_eq!(pool.close_round(key(0), 2).reporters, 3);
@@ -276,7 +270,7 @@ mod tests {
 
     #[test]
     fn checkpoint_observes_without_consuming() {
-        let pool = WorkerPool::new(3, 2);
+        let pool = WorkerPool::new(3, 2, Vec::new());
         let oracle = build_oracle(FoKind::Grr, 8.0, 3).unwrap();
         for _ in 0..6 {
             pool.dispatch(Batch::encode(key(0), &oracle, reports(0, 2, 50)));
@@ -291,7 +285,7 @@ mod tests {
 
     #[test]
     fn seeded_tally_merges_into_close() {
-        let pool = WorkerPool::new(2, 2);
+        let pool = WorkerPool::new(2, 2, Vec::new());
         let oracle = build_oracle(FoKind::Grr, 8.0, 2).unwrap();
         let seed = ShardTally {
             support: vec![40, 2],
@@ -309,7 +303,7 @@ mod tests {
 
     #[test]
     fn closing_an_undispatched_round_yields_empty_tally() {
-        let pool = WorkerPool::new(3, 1);
+        let pool = WorkerPool::new(3, 1, Vec::new());
         let tally = pool.close_round(key(9), 4);
         assert_eq!(tally.reporters, 0);
         assert_eq!(tally.support, vec![0; 4]);

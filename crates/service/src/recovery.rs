@@ -633,6 +633,7 @@ pub(crate) fn recover(dir: &Path) -> Result<Recovered, CoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::WalObs;
     use ldp_fo::FoKind;
 
     fn tmp_dir(name: &str) -> PathBuf {
@@ -730,7 +731,12 @@ mod tests {
     fn recover_from_snapshot_folds_pending_and_replays_tail() {
         let dir = tmp_dir("snap_plus_tail");
         write_snapshot(&dir, 4, &sample_state()).unwrap();
-        let mut wal = wal::Wal::create(&wal_path(&dir, 4), crate::wal::WalSync::None).unwrap();
+        let mut wal = wal::Wal::create(
+            &wal_path(&dir, 4),
+            wal::WalSync::None,
+            WalObs::unregistered(),
+        )
+        .unwrap();
         // A duplicate of an already-snapshotted delta (seq 1 < the
         // snapshot's next_seq 3: skipped on replay) followed by a
         // genuinely new one (seq 3).
@@ -841,7 +847,12 @@ mod tests {
     #[test]
     fn replay_verifies_close_records_bit_for_bit() {
         let dir = tmp_dir("replay_close_ok");
-        let mut wal = wal::Wal::create(&wal_path(&dir, 0), crate::wal::WalSync::None).unwrap();
+        let mut wal = wal::Wal::create(
+            &wal_path(&dir, 0),
+            wal::WalSync::None,
+            WalObs::unregistered(),
+        )
+        .unwrap();
         let (support, reporters) = append_round_prefix(&mut wal);
         let oracle = build_oracle(FoKind::Grr, 2.0, 3).unwrap();
         let estimate = RoundEstimate {
@@ -871,7 +882,12 @@ mod tests {
     #[test]
     fn replay_rejects_close_record_contradicting_the_tally() {
         let dir = tmp_dir("replay_close_bad");
-        let mut wal = wal::Wal::create(&wal_path(&dir, 0), crate::wal::WalSync::None).unwrap();
+        let mut wal = wal::Wal::create(
+            &wal_path(&dir, 0),
+            wal::WalSync::None,
+            WalObs::unregistered(),
+        )
+        .unwrap();
         let (support, reporters) = append_round_prefix(&mut wal);
         let oracle = build_oracle(FoKind::Grr, 2.0, 3).unwrap();
         let mut frequencies = oracle.estimate(&support, reporters);

@@ -73,8 +73,8 @@ pub struct TenantLimits {
     pub auth_token: Option<String>,
     /// Token-bucket limit on submitted reports; `None` is unlimited.
     pub rate: Option<RateLimit>,
-    /// Maximum `SubmitBatch` frames queued or executing at once;
-    /// `None` is unlimited.
+    /// Maximum `SubmitBatch` frames executing at once across the
+    /// tenant's connections; `None` is unlimited.
     pub max_inflight: Option<usize>,
 }
 

@@ -178,7 +178,7 @@ impl IngestService {
     /// to a shared registry with a `tenant` label).
     pub fn new_observed(config: ServiceConfig, metrics: ServiceMetrics) -> Self {
         IngestService {
-            pool: WorkerPool::new_observed(
+            pool: WorkerPool::new(
                 config.threads,
                 config.queue_depth,
                 metrics.shard_depth_gauges(config.threads.max(1)),
@@ -219,14 +219,6 @@ impl IngestService {
         std::fs::create_dir_all(&dir).map_err(|e| io_err("create", &dir, &e))?;
         let recovered = recovery::recover(&dir)?;
         metrics.replay_ns.record_duration(replay_start.elapsed());
-        ldp_obs::trace::event("service.replay", || {
-            format!(
-                "dir={} sessions={} records={}",
-                dir.display(),
-                recovered.sessions.len(),
-                recovered.report.wal_records_replayed
-            )
-        });
 
         // Rotate immediately: write the recovered state as generation
         // g+1 and start its empty WAL, so the old generation (and any
@@ -253,14 +245,14 @@ impl IngestService {
                 .collect(),
         };
         recovery::write_snapshot(&dir, next_gen, &snapshot)?;
-        let wal = Wal::create_observed(
+        let wal = Wal::create(
             &recovery::wal_path(&dir, next_gen),
             config.sync,
             metrics.wal.clone(),
         )?;
         recovery::remove_stale(&dir, next_gen);
 
-        let pool = WorkerPool::new_observed(
+        let pool = WorkerPool::new(
             config.threads,
             config.queue_depth,
             metrics.shard_depth_gauges(config.threads.max(1)),
@@ -435,9 +427,6 @@ impl IngestService {
             pending: Vec::with_capacity(self.config.batch_size),
         });
         self.metrics.rounds_opened.inc();
-        ldp_obs::trace::event("service.round_open", || {
-            format!("session={} round={}", session.raw(), request.round)
-        });
         self.maybe_snapshot(st)?;
         drop(guard);
         commit.wait()?;
@@ -736,14 +725,6 @@ impl IngestService {
             s.epsilon_spent += open.request.epsilon;
             s.last_closed = Some((key.round, estimate.clone()));
             self.metrics.rounds_closed.inc();
-            ldp_obs::trace::event("service.round_close", || {
-                format!(
-                    "session={} round={} reporters={}",
-                    session.raw(),
-                    key.round,
-                    estimate.reporters
-                )
-            });
             faults::hit("service.after_close");
             self.maybe_snapshot(st)?;
             drop(guard);
@@ -775,14 +756,6 @@ impl IngestService {
             s.last_closed = Some((key.round, estimate.clone()));
         }
         self.metrics.rounds_closed.inc();
-        ldp_obs::trace::event("service.round_close", || {
-            format!(
-                "session={} round={} reporters={}",
-                session.raw(),
-                key.round,
-                estimate.reporters
-            )
-        });
         Ok(estimate)
     }
 
@@ -937,7 +910,7 @@ impl IngestService {
         let d = st.durable.as_mut().expect("snapshot on a durable service");
         let next_gen = d.generation + 1;
         recovery::write_snapshot(&d.dir, next_gen, &snapshot)?;
-        d.wal = Wal::create_observed(
+        d.wal = Wal::create(
             &recovery::wal_path(&d.dir, next_gen),
             self.config.sync,
             self.metrics.wal.clone(),
@@ -948,7 +921,6 @@ impl IngestService {
         self.metrics
             .snapshot_ns
             .record_duration(snapshot_start.elapsed());
-        ldp_obs::trace::event("service.snapshot", || format!("generation={next_gen}"));
         Ok(())
     }
 }

@@ -405,15 +405,9 @@ pub struct Wal {
 
 impl Wal {
     /// Create a fresh WAL at `path` (truncating any existing file),
-    /// write the magic header and sync it. Latencies go to a private,
-    /// unregistered series; see [`Wal::create_observed`].
-    pub fn create(path: &Path, sync: WalSync) -> Result<Wal, CoreError> {
-        Wal::create_observed(path, sync, WalObs::unregistered())
-    }
-
-    /// [`Wal::create`] recording append/fsync latency and group-commit
-    /// batch size into `obs`.
-    pub fn create_observed(path: &Path, sync: WalSync, obs: WalObs) -> Result<Wal, CoreError> {
+    /// write the magic header and sync it. Append/fsync latency and
+    /// group-commit batch size are recorded into `obs`.
+    pub fn create(path: &Path, sync: WalSync, obs: WalObs) -> Result<Wal, CoreError> {
         let mut file = OpenOptions::new()
             .write(true)
             .create(true)
@@ -717,7 +711,7 @@ mod tests {
     #[test]
     fn append_then_scan_roundtrips() {
         let path = tmp("roundtrip.log");
-        let mut wal = Wal::create(&path, WalSync::Always).unwrap();
+        let mut wal = Wal::create(&path, WalSync::Always, WalObs::unregistered()).unwrap();
         let records = sample_records();
         for record in &records {
             wal.append(record).unwrap().wait().unwrap();
@@ -736,7 +730,7 @@ mod tests {
     #[test]
     fn group_commit_coalesces_pending_waits_into_one_fsync() {
         let path = tmp("group.log");
-        let mut wal = Wal::create(&path, WalSync::Always).unwrap();
+        let mut wal = Wal::create(&path, WalSync::Always, WalObs::unregistered()).unwrap();
         let records = sample_records();
         let mut commits = Vec::new();
         for _ in 0..4 {
@@ -761,7 +755,7 @@ mod tests {
     #[test]
     fn retired_group_releases_waiters_without_fsync() {
         let path = tmp("retire.log");
-        let mut wal = Wal::create(&path, WalSync::Always).unwrap();
+        let mut wal = Wal::create(&path, WalSync::Always, WalObs::unregistered()).unwrap();
         let commit = wal
             .append(&WalRecord::CreateSession { session: 9 })
             .unwrap();
@@ -772,7 +766,7 @@ mod tests {
     #[test]
     fn torn_tail_recovers_to_last_complete_record() {
         let path = tmp("torn.log");
-        let mut wal = Wal::create(&path, WalSync::None).unwrap();
+        let mut wal = Wal::create(&path, WalSync::None, WalObs::unregistered()).unwrap();
         let records = sample_records();
         for record in &records {
             wal.append(record).unwrap().wait().unwrap();
@@ -795,7 +789,7 @@ mod tests {
     #[test]
     fn bitflip_recovers_with_checksum_error() {
         let path = tmp("bitflip.log");
-        let mut wal = Wal::create(&path, WalSync::None).unwrap();
+        let mut wal = Wal::create(&path, WalSync::None, WalObs::unregistered()).unwrap();
         let records = sample_records();
         for record in &records {
             wal.append(record).unwrap().wait().unwrap();
